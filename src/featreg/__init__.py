@@ -36,7 +36,6 @@ from .net import (
     describe,
     detect,
     farthest_point_sample,
-    forward_branch,
 )
 from .register import (
     Correspondence,
@@ -98,7 +97,6 @@ __all__ = [
     "detect_keypoints",
     "estimate_rigid_svd",
     "farthest_point_sample",
-    "forward_branch",
     "grad_check",
     "match_descriptors",
     "parse_config",

@@ -1,10 +1,11 @@
 """Reverse-mode differentiation on numpy buffers, sized to this package's nets.
 
 The op set is deliberately small: dense layers, the activations the networks
-use, set pooling (single and segmented), concatenation, the in-plane rotation
-that canonicalizes clusters, and the handful of reductions the alignment loss
-needs. No general broadcasting. Compute dtype is float64 throughout; the
-checkpoint format stores float32 payloads.
+use, set pooling over contiguous row segments (one segment per cluster),
+concatenation, the in-plane rotation that canonicalizes clusters, and the
+handful of reductions the alignment loss needs. No general broadcasting.
+Compute dtype is float64 throughout; the checkpoint format stores float32
+payloads.
 """
 
 from __future__ import annotations
@@ -209,36 +210,6 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
     return Tensor(out_data, parents=(a, b), backward_fn=bw)
 
 
-def max_pool_over_set(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Column-wise max over the rows of x (n, f), ignoring masked-out rows.
-
-    mask marks valid rows with True. Gradient flows to the argmax row of each
-    feature; ties go to the lowest row index. A fully masked input is an error.
-    """
-    if x.data.ndim != 2:
-        raise InvalidInputError(f"max_pool_over_set expects (n, f), got {x.data.shape}")
-    n, f = x.data.shape
-    if mask is None:
-        valid = np.arange(n)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (n,):
-            raise InvalidInputError("mask shape must be (n,)")
-        valid = np.nonzero(mask)[0]
-    if len(valid) == 0:
-        raise InvalidInputError("max_pool_over_set on a fully masked input")
-    sub = x.data[valid]
-    arg = valid[sub.argmax(axis=0)]
-    out_data = x.data[arg, np.arange(f)]
-
-    def bw(g: np.ndarray) -> None:
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (arg, np.arange(f)), g)
-        x._accumulate(gx)
-
-    return Tensor(out_data, parents=(x,), backward_fn=bw)
-
-
 def _check_offsets(offsets: np.ndarray, total: int) -> np.ndarray:
     offsets = np.asarray(offsets, dtype=np.int64)
     if offsets.ndim != 1 or len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != total:
@@ -252,7 +223,8 @@ def segment_max_pool(x: Tensor, offsets: np.ndarray) -> Tensor:
     """Per-segment column-wise max for contiguous row segments.
 
     offsets has S+1 entries; segment s spans rows [offsets[s], offsets[s+1]).
-    Equivalent to max_pool_over_set applied per segment; ties to lowest row.
+    Gradient flows to the argmax row of each feature in each segment; ties go
+    to the lowest row of the segment.
     """
     if x.data.ndim != 2:
         raise InvalidInputError(f"segment_max_pool expects (N, f), got {x.data.shape}")
@@ -292,18 +264,6 @@ def expand_segments(v: Tensor, offsets: np.ndarray) -> Tensor:
     return Tensor(out_data, parents=(v,), backward_fn=bw)
 
 
-def tile_rows(v: Tensor, n: int) -> Tensor:
-    """Stack n copies of a vector v (f,) into an (n, f) matrix."""
-    if v.data.ndim != 1:
-        raise InvalidInputError(f"tile_rows expects a vector, got {v.data.shape}")
-    out_data = np.tile(v.data, (n, 1))
-
-    def bw(g: np.ndarray) -> None:
-        v._accumulate(g.sum(axis=0))
-
-    return Tensor(out_data, parents=(v,), backward_fn=bw)
-
-
 def _rotate_sc(pts: np.ndarray, s, c) -> np.ndarray:
     # Rotation by -theta about z for (s, c) = (sin theta, cos theta).
     out = np.empty_like(pts)
@@ -313,35 +273,13 @@ def _rotate_sc(pts: np.ndarray, s, c) -> np.ndarray:
     return out
 
 
-def rotate_xy(pts: Tensor, sc: Tensor) -> Tensor:
-    """Rotate (n, 3) points by -theta about z, with sc = [sin theta, cos theta].
+def rotate_xy_segments(pts: Tensor, sc: Tensor, offsets: np.ndarray) -> Tensor:
+    """Rotate segment s of (N, 3) points by -theta_s about z, with sc row s =
+    [sin theta_s, cos theta_s].
 
-    Differentiable in both the points and the (sin, cos) pair, so orientation
+    Differentiable in both the points and the (sin, cos) rows, so orientation
     gradients flow into the detector without an arctan in the graph.
     """
-    if pts.data.ndim != 2 or pts.data.shape[1] != 3 or sc.data.shape != (2,):
-        raise InvalidInputError("rotate_xy expects pts (n, 3) and sc (2,)")
-    s, c = sc.data[0], sc.data[1]
-    out_data = _rotate_sc(pts.data, s, c)
-
-    def bw(g: np.ndarray) -> None:
-        x, y = pts.data[:, 0], pts.data[:, 1]
-        if sc.requires_grad:
-            ds = np.dot(g[:, 0], y) - np.dot(g[:, 1], x)
-            dc = np.dot(g[:, 0], x) + np.dot(g[:, 1], y)
-            sc._accumulate(np.array([ds, dc]))
-        if pts.requires_grad:
-            gp = np.empty_like(pts.data)
-            gp[:, 0] = c * g[:, 0] - s * g[:, 1]
-            gp[:, 1] = s * g[:, 0] + c * g[:, 1]
-            gp[:, 2] = g[:, 2]
-            pts._accumulate(gp)
-
-    return Tensor(out_data, parents=(pts, sc), backward_fn=bw)
-
-
-def rotate_xy_segments(pts: Tensor, sc: Tensor, offsets: np.ndarray) -> Tensor:
-    """rotate_xy applied per contiguous segment with per-segment (sin, cos) rows."""
     if pts.data.ndim != 2 or pts.data.shape[1] != 3:
         raise InvalidInputError(f"rotate_xy_segments expects (N, 3) points, got {pts.data.shape}")
     offsets = _check_offsets(offsets, pts.data.shape[0])

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,39 +22,12 @@ from . import geom
 from .errors import FormatError, InvalidInputError
 from .geom import PointCloud, RigidTransform
 from .net import ModelWeights, cluster_at, describe_many, detect_many
-from .register import (
-    InferenceConfig,
-    compute_descriptors,
-    detect_keypoints,
-    match_descriptors,
-    ransac_register,
-    rte_rre,
-)
+from .register import InferenceConfig, match_clouds, register_clouds, rte_rre
 from .train import PoseTaggedCloud
 
 log = logging.getLogger(__name__)
 
-THREADS_ENV_VAR = "F3DN_THREADS"
-
 CLOUD_FORMATS = ("xyz-bin", "xyzi-bin", "ascii-ply")
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        log.warning("ignoring non-integer %s=%r", THREADS_ENV_VAR, raw)
-        return 1
-
-
-def _ordered_map(fn, items):
-    """Map preserving input order; parallel when F3DN_THREADS > 1."""
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +610,7 @@ def eval_precision_curve(
 
     def pair_errors(pair) -> np.ndarray:
         cloud_a, cloud_b, t_ab = pair
-        feats_a = compute_descriptors(cloud_a, detect_keypoints(cloud_a, w, cfg), w, cfg)
-        feats_b = compute_descriptors(cloud_b, detect_keypoints(cloud_b, w, cfg), w, cfg)
-        corr = match_descriptors(feats_a, feats_b)
+        corr = match_clouds(cloud_a, cloud_b, w, cfg)
         if not corr:
             return np.zeros(0)
         p = np.stack([c.p for c in corr])
@@ -648,7 +618,7 @@ def eval_precision_curve(
         mapped = p @ t_ab.rotation.T + t_ab.translation
         return np.linalg.norm(mapped - q, axis=1)
 
-    errors = np.concatenate(_ordered_map(pair_errors, pairs)) if pairs else np.zeros(0)
+    errors = np.concatenate([pair_errors(pair) for pair in pairs]) if pairs else np.zeros(0)
     if len(errors) == 0:
         return [(x, 0.0) for x in thresholds]
     return [(x, float(np.mean(errors <= x))) for x in thresholds]
@@ -729,17 +699,16 @@ def eval_registration(
     error column; the sweep never aborts.
     """
 
-    def run_pair(item) -> RegistrationRow:
-        pair_idx, pair = item
+    def run_pair(pair_idx: int, pair: ManifestPair) -> RegistrationRow:
         a = clouds[pair.index_a]
         b = clouds[pair.index_b]
         id_a, id_b = a.cloud.id or str(pair.index_a), b.cloud.id or str(pair.index_b)
         try:
-            feats_a = compute_descriptors(a.cloud, detect_keypoints(a.cloud, w, cfg.inference), w, cfg.inference)
-            feats_b = compute_descriptors(b.cloud, detect_keypoints(b.cloud, w, cfg.inference), w, cfg.inference)
-            corr = match_descriptors(feats_a, feats_b)
-            result = ransac_register(
-                corr,
+            result, n_corr = register_clouds(
+                a.cloud,
+                b.cloud,
+                w,
+                cfg.inference,
                 inlier_thresh=cfg.inlier_thresh,
                 confidence=cfg.confidence,
                 max_iter=cfg.max_iter,
@@ -755,7 +724,7 @@ def eval_registration(
                 success=ok,
                 iterations=result.iterations,
                 inlier_count=result.inlier_count,
-                n_correspondences=len(corr),
+                n_correspondences=n_corr,
             )
         except Exception as exc:  # a failed pair is data, not a crash
             log.warning("pair (%s, %s) failed: %s", id_a, id_b, exc)
@@ -771,7 +740,7 @@ def eval_registration(
                 error=str(exc).replace(",", ";").replace("\n", " "),
             )
 
-    rows = _ordered_map(run_pair, list(enumerate(manifest.pairs)))
+    rows = [run_pair(pair_idx, pair) for pair_idx, pair in enumerate(manifest.pairs)]
     return EvalReport(rows=rows, aggregates=aggregate_rows(rows))
 
 

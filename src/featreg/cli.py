@@ -359,7 +359,7 @@ def _cmd_eval_reg(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     from .loss import TripletLossConfig, triplet_loss
-    from .net import NetConfig, ModelWeights, branch_graph
+    from .net import NetConfig, ModelWeights
 
     cfg = NetConfig(
         point_mlp=tuple(int(v) for v in args.point_mlp.split(",")),

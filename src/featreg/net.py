@@ -3,9 +3,10 @@
 The detector maps a cluster to an in-plane orientation and a positive
 attention score; the descriptor maps the cluster, rotated to its canonical
 orientation, to a unit feature vector. Both are order-invariant point MLPs
-with max pooling. Two forward paths exist: a per-cluster autodiff graph
-(training and reference semantics) and a batched numpy path for inference,
-which must agree to float precision.
+with max pooling. Two forward paths exist, both over clusters stacked as
+contiguous row segments: the autodiff graph, which training differentiates
+and which the single-cluster reference calls (detect, describe) run, and a
+numpy path for inference, which must agree with it to float precision.
 """
 
 from __future__ import annotations
@@ -312,96 +313,51 @@ def _mlp_graph(x: Tensor, w: ModelWeights, prefix: str, n_layers: int) -> Tensor
     return h
 
 
-def detector_graph(pts: Tensor, w: ModelWeights, offsets: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+def detector_graph(pts: Tensor, w: ModelWeights, offsets: np.ndarray) -> tuple[Tensor, Tensor]:
     """Orientation (as a unit (sin, cos) row per cluster) and raw attention.
 
-    pts is (n, 3) for a single cluster (offsets None) or stacked segments with
-    offsets. Returns (orient, attention): shapes ((2,), ()) per-cluster mode,
-    ((S, 2), (S,)) segmented mode.
+    pts stacks S cluster segments delimited by offsets (S+1 entries). Returns
+    (orient, attention) of shapes ((S, 2), (S,)).
     """
     h = _mlp_graph(pts, w, "det.point", len(w.config.point_mlp))
-    pooled = ad.max_pool_over_set(h) if offsets is None else ad.segment_max_pool(h, offsets)
-    g = pooled
-    for i in range(len(w.config.post_mlp)):
-        g = ad.shifted_softplus(ad.linear(g, *w._pair(f"det.post{i}")))
+    g = _mlp_graph(ad.segment_max_pool(h, offsets), w, "det.post", len(w.config.post_mlp))
     orient = ad.l2_normalize(ad.linear(g, *w._pair("det.orient")))
     attn_raw = ad.softplus(ad.linear(g, *w._pair("det.attn")))
-    if offsets is None:
-        attn = ad.vsum(attn_raw)  # collapse the (1,) head output to a scalar
-    else:
-        attn = ad.take_col(attn_raw, 0)
-    return orient, attn
+    return orient, ad.take_col(attn_raw, 0)
 
 
 def descriptor_graph(
     pts: Tensor,
     w: ModelWeights,
     orient: Tensor | None,
-    offsets: np.ndarray | None = None,
+    offsets: np.ndarray,
 ) -> Tensor:
     """Unit descriptor per cluster; orient None skips canonicalization (theta = 0)."""
     if orient is not None:
-        pts = ad.rotate_xy(pts, orient) if offsets is None else ad.rotate_xy_segments(pts, orient, offsets)
+        pts = ad.rotate_xy_segments(pts, orient, offsets)
     h = _mlp_graph(pts, w, "desc.point", len(w.config.point_mlp))
-    if offsets is None:
-        pooled = ad.max_pool_over_set(h)
-        context = ad.concat(h, ad.tile_rows(pooled, h.data.shape[0]), axis=1)
-    else:
-        pooled = ad.segment_max_pool(h, offsets)
-        context = ad.concat(h, ad.expand_segments(pooled, offsets), axis=1)
+    pooled = ad.segment_max_pool(h, offsets)
+    context = ad.concat(h, ad.expand_segments(pooled, offsets), axis=1)
     ctx = ad.shifted_softplus(ad.linear(context, *w._pair("desc.context")))
-    per_cluster = ad.max_pool_over_set(ctx) if offsets is None else ad.segment_max_pool(ctx, offsets)
+    per_cluster = ad.segment_max_pool(ctx, offsets)
     out = ad.linear(per_cluster, *w._pair("desc.out"))
     return ad.l2_normalize(out)
 
 
 def detect(cluster: Cluster, w: ModelWeights) -> tuple[float, float]:
     """Predicted orientation theta (radians, atan2 of the sin/cos pair) and attention."""
-    orient, attn = detector_graph(Tensor(cluster.local_points), w)
-    s, c = orient.data
-    return float(np.arctan2(s, c)), float(attn.data)
+    pts, offsets = _stack_clusters([cluster])
+    orient, attn = detector_graph(Tensor(pts), w, offsets)
+    s, c = orient.data[0]
+    return float(np.arctan2(s, c)), float(attn.data[0])
 
 
 def describe(cluster: Cluster, theta: float, w: ModelWeights) -> np.ndarray:
     """Unit descriptor of a cluster canonicalized by rotating -theta about z."""
-    sc = Tensor(np.array([np.sin(theta), np.cos(theta)]))
-    out = descriptor_graph(Tensor(cluster.local_points), w, sc)
-    return np.array(out.data, copy=True)
-
-
-def forward_branch(
-    cloud: PointCloud,
-    w: ModelWeights,
-    k: int,
-    r_cluster: float = DEFAULT_R_CLUSTER,
-    seed=0,
-    cap: int = DEFAULT_CLUSTER_CAP,
-) -> list[KeypointFeature]:
-    """Sample k clusters by FPS, then detect and describe each one.
-
-    The same seed drives the FPS first pick and any over-cap subsampling, so
-    identical inputs give identical outputs. Clusters whose only member is
-    the center itself are dropped: a singleton has no shape to describe, so
-    fewer than k features can come back on sparse clouds.
-    """
-    rng = _rng_of(seed)
-    idx = farthest_point_sample(cloud, k, rng)
-    clusters = ball_group(cloud, idx, r_cluster=r_cluster, cap=cap, rng=rng)
-    out = []
-    for ci, cluster in zip(idx, clusters):
-        if cluster.valid_count < 2:
-            continue
-        theta, attention = detect(cluster, w)
-        descriptor = describe(cluster, theta, w)
-        out.append(
-            KeypointFeature(
-                position=np.array(cloud.points[ci], copy=True),
-                theta=theta,
-                attention=attention,
-                descriptor=descriptor,
-            )
-        )
-    return out
+    pts, offsets = _stack_clusters([cluster])
+    sc = Tensor(np.array([[np.sin(theta), np.cos(theta)]]))
+    out = descriptor_graph(Tensor(pts), w, sc, offsets)
+    return np.array(out.data[0], copy=True)
 
 
 def _stack_clusters(clusters: list[Cluster]) -> tuple[np.ndarray, np.ndarray]:
@@ -445,9 +401,9 @@ def branch_graph(
 # ---------------------------------------------------------------------------
 
 
-def _np_mlp(pts: np.ndarray, w: ModelWeights, prefix: str) -> np.ndarray:
-    h = pts
-    for i in range(len(w.config.point_mlp)):
+def _np_mlp(x: np.ndarray, w: ModelWeights, prefix: str, n_layers: int) -> np.ndarray:
+    h = x
+    for i in range(n_layers):
         wt, bt = w._pair(f"{prefix}{i}")
         h = np.logaddexp(0.0, h @ wt.data + bt.data) - ad.LOG2
     return h
@@ -457,20 +413,20 @@ def _np_segment_max(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(x, offsets[:-1], axis=0)
 
 
+def _np_unit_rows(x: np.ndarray) -> np.ndarray:
+    # the same norm floor as ad.l2_normalize
+    return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), ad.NORM_EPSILON)
+
+
 def detect_many(clusters: list[Cluster], w: ModelWeights) -> tuple[np.ndarray, np.ndarray]:
     """Batched detector: thetas (radians) and attentions for a cluster list."""
     if not clusters:
         return np.zeros(0), np.zeros(0)
     pts, offsets = _stack_clusters(clusters)
-    h = _np_mlp(pts, w, "det.point")
-    g = _np_segment_max(h, offsets)
-    for i in range(len(w.config.post_mlp)):
-        wt, bt = w._pair(f"det.post{i}")
-        g = np.logaddexp(0.0, g @ wt.data + bt.data) - ad.LOG2
+    h = _np_mlp(pts, w, "det.point", len(w.config.point_mlp))
+    g = _np_mlp(_np_segment_max(h, offsets), w, "det.post", len(w.config.post_mlp))
     wo, bo = w._pair("det.orient")
-    raw = g @ wo.data + bo.data
-    norms = np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), ad.NORM_EPSILON)
-    orient = raw / norms
+    orient = _np_unit_rows(g @ wo.data + bo.data)
     wa, ba = w._pair("det.attn")
     attn = np.logaddexp(0.0, (g @ wa.data + ba.data)[:, 0])
     return np.arctan2(orient[:, 0], orient[:, 1]), attn
@@ -485,19 +441,12 @@ def describe_many(clusters: list[Cluster], thetas: np.ndarray, w: ModelWeights) 
         raise InvalidInputError("need one theta per cluster")
     pts, offsets = _stack_clusters(clusters)
     lengths = np.diff(offsets)
-    s = np.repeat(np.sin(thetas), lengths)
-    c = np.repeat(np.cos(thetas), lengths)
-    rot = np.empty_like(pts)
-    rot[:, 0] = c * pts[:, 0] + s * pts[:, 1]
-    rot[:, 1] = -s * pts[:, 0] + c * pts[:, 1]
-    rot[:, 2] = pts[:, 2]
-    h = _np_mlp(rot, w, "desc.point")
+    rot = ad._rotate_sc(pts, np.repeat(np.sin(thetas), lengths), np.repeat(np.cos(thetas), lengths))
+    h = _np_mlp(rot, w, "desc.point", len(w.config.point_mlp))
     pooled = _np_segment_max(h, offsets)
     context = np.concatenate([h, np.repeat(pooled, lengths, axis=0)], axis=1)
     wc, bc = w._pair("desc.context")
     ctx = np.logaddexp(0.0, context @ wc.data + bc.data) - ad.LOG2
     per_cluster = _np_segment_max(ctx, offsets)
     wo, bo = w._pair("desc.out")
-    out = per_cluster @ wo.data + bo.data
-    norms = np.maximum(np.linalg.norm(out, axis=1, keepdims=True), ad.NORM_EPSILON)
-    return out / norms
+    return _np_unit_rows(per_cluster @ wo.data + bo.data)

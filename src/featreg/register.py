@@ -340,6 +340,15 @@ def rte_rre(estimated: RigidTransform, ground_truth: RigidTransform) -> tuple[fl
     return rte, rre
 
 
+def match_clouds(
+    cloud_a: PointCloud, cloud_b: PointCloud, w: ModelWeights, cfg: InferenceConfig
+) -> list[Correspondence]:
+    """Keypoints and descriptors of both clouds, then nearest-descriptor matches a->b."""
+    feats_a = compute_descriptors(cloud_a, detect_keypoints(cloud_a, w, cfg), w, cfg)
+    feats_b = compute_descriptors(cloud_b, detect_keypoints(cloud_b, w, cfg), w, cfg)
+    return match_descriptors(feats_a, feats_b)
+
+
 def register_clouds(
     cloud_a: PointCloud,
     cloud_b: PointCloud,
@@ -354,8 +363,6 @@ def register_clouds(
 
     Returns the registration result plus the correspondence count.
     """
-    feats_a = compute_descriptors(cloud_a, detect_keypoints(cloud_a, w, cfg), w, cfg)
-    feats_b = compute_descriptors(cloud_b, detect_keypoints(cloud_b, w, cfg), w, cfg)
-    corr = match_descriptors(feats_a, feats_b)
+    corr = match_clouds(cloud_a, cloud_b, w, cfg)
     result = ransac_register(corr, inlier_thresh=inlier_thresh, confidence=confidence, max_iter=max_iter, rng=rng)
     return result, len(corr)

@@ -122,27 +122,29 @@ class TestOpGradients:
 
     def test_max_pool_gradient_is_argmax_indicator(self):
         rng = np.random.default_rng(5)
+        off = np.array([0, 3, 8])
         x = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
-        v = Tensor(rng.normal(size=(4,)))
-        backward(ad.dot(ad.max_pool_over_set(x), v))
-        # analytic: gradient lands only on argmax rows
-        argmax = x.data.argmax(axis=0)
+        v = Tensor(rng.normal(size=(2, 4)))
+        backward(ad.vsum(ad.mul(ad.segment_max_pool(x, off), v)))
+        # analytic: gradient lands only on each segment's argmax rows
         expected = np.zeros((8, 4))
-        expected[argmax, np.arange(4)] = v.data
+        for s, (lo, hi) in enumerate(zip(off[:-1], off[1:])):
+            expected[lo + x.data[lo:hi].argmax(axis=0), np.arange(4)] = v.data[s]
         np.testing.assert_allclose(x.grad, expected, atol=1e-12)
         # and matches finite differences
         x2 = Tensor(np.array(x.data), requires_grad=True, name="x2")
-        fd_check(lambda: ad.dot(ad.max_pool_over_set(x2), v), {"x2": x2})
+        fd_check(lambda: ad.vsum(ad.mul(ad.segment_max_pool(x2, off), v)), {"x2": x2})
 
     def test_max_pool_tie_goes_to_lowest_row(self):
-        x = Tensor(np.array([[1.0, 5.0], [1.0, 5.0], [0.0, 0.0]]), requires_grad=True)
-        backward(ad.vsum(ad.max_pool_over_set(x)))
-        assert np.array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-
-    def test_max_pool_mask(self):
-        x = Tensor(np.array([[9.0, 9.0], [1.0, 2.0], [3.0, 1.0]]))
-        out = ad.max_pool_over_set(x, mask=np.array([False, True, True]))
-        assert out.data.tolist() == [3.0, 2.0]
+        # ties within a segment go to that segment's lowest row, not to row 0
+        x = Tensor(
+            np.array([[1.0, 5.0], [1.0, 5.0], [0.0, 0.0], [2.0, 2.0], [2.0, 7.0], [2.0, 7.0]]),
+            requires_grad=True,
+        )
+        backward(ad.vsum(ad.segment_max_pool(x, np.array([0, 3, 6]))))
+        assert np.array_equal(
+            x.grad, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+        )
 
     def test_segment_ops(self):
         rng = np.random.default_rng(6)
@@ -156,17 +158,20 @@ class TestOpGradients:
 
     def test_rotate_xy(self):
         rng = np.random.default_rng(7)
-        sc = Tensor(np.array([0.6, 0.8]), requires_grad=True, name="sc")
+        off = np.array([0, 5])
+        sc = Tensor(np.array([[0.6, 0.8]]), requires_grad=True, name="sc")
         p = leaf(rng, (5, 3), "p")
         v = Tensor(rng.normal(size=(5, 3)))
-        fd_check(lambda: ad.vsum(ad.mul(ad.rotate_xy(p, sc), v)), {"sc": sc, "p": p})
+        fd_check(
+            lambda: ad.vsum(ad.mul(ad.rotate_xy_segments(p, sc, off), v)), {"sc": sc, "p": p}
+        )
 
     def test_rotate_xy_preserves_z_and_norms(self):
         rng = np.random.default_rng(8)
         pts = rng.normal(size=(6, 3))
-        theta = 0.77
-        sc = Tensor(np.array([np.sin(theta), np.cos(theta)]))
-        out = ad.rotate_xy(Tensor(pts), sc)
+        thetas = np.array([0.77, -2.1])
+        sc = Tensor(np.stack([np.sin(thetas), np.cos(thetas)], axis=1))
+        out = ad.rotate_xy_segments(Tensor(pts), sc, np.array([0, 2, 6]))
         assert np.array_equal(out.data[:, 2], pts[:, 2])
         np.testing.assert_allclose(
             np.linalg.norm(out.data[:, :2], axis=1),
@@ -225,9 +230,6 @@ class TestOpGradients:
         c2 = leaf(rng, (3, 2), "c2")
         v = Tensor(rng.normal(size=(3, 6)))
         fd_check(lambda: ad.vsum(ad.mul(ad.concat(c1, c2, axis=1), v)), {"c1": c1, "c2": c2})
-        t = leaf(rng, (4,), "t")
-        vt = Tensor(rng.normal(size=(3, 4)))
-        fd_check(lambda: ad.vsum(ad.mul(ad.tile_rows(t, 3), vt)), {"t": t})
         m = leaf(rng, (5, 3), "m")
         fd_check(lambda: ad.vsum(ad.take_col(m, 1)), {"m": m})
 

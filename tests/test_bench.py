@@ -1,5 +1,6 @@
 """File formats, synthetic datasets, and the evaluation protocols."""
 
+import dataclasses
 import json
 import struct
 
@@ -27,7 +28,7 @@ from featreg.bench import (
 from featreg.errors import FormatError, InvalidInputError
 from featreg.geom import PointCloud, RigidTransform, crop_ball, rotate_z
 from featreg.net import ModelWeights, NetConfig
-from featreg.register import InferenceConfig
+from featreg.register import InferenceConfig, register_clouds, rte_rre
 
 TINY = NetConfig(point_mlp=(8, 8, 16), post_mlp=(8, 8), context_dim=16, descriptor_dim=8)
 
@@ -484,18 +485,42 @@ class TestEvalRegistration:
             assert row.error == ""
         assert report.aggregates["success_rate"] == 1.0
 
+    def test_rows_match_register_clouds(self, scans, weights):
+        """Row i is register_clouds on pair i with RANSAC seeded by seed + i."""
+        clouds, manifest = scans
+        cfg = dataclasses.replace(self.CFG, seed=5)
+        report = eval_registration(clouds, manifest, weights, cfg)
+        assert len(report.rows) == len(manifest.pairs)
+        for i, (pair, row) in enumerate(zip(manifest.pairs, report.rows)):
+            result, n_corr = register_clouds(
+                clouds[pair.index_a].cloud,
+                clouds[pair.index_b].cloud,
+                weights,
+                cfg.inference,
+                inlier_thresh=cfg.inlier_thresh,
+                confidence=cfg.confidence,
+                max_iter=cfg.max_iter,
+                rng=np.random.default_rng(cfg.seed + i),
+            )
+            rte, rre = rte_rre(result.transform, pair.transform)
+            assert row.error == ""
+            assert (row.rte, row.rre_deg) == (rte, rre)
+            assert (row.iterations, row.inlier_count, row.n_correspondences) == (
+                result.iterations, result.inlier_count, n_corr)
+            assert row.success == bool(result.success and rte < cfg.success_rte and rre < cfg.success_rre_deg)
+
     def test_aggregates_recompute_from_rows(self, easy_dataset, weights):
         clouds, manifest = easy_dataset
         report = eval_registration(clouds, manifest, weights, self.CFG)
         assert report.aggregates == aggregate_rows(report.rows)
 
     def test_failed_pair_becomes_error_row(self, easy_dataset, weights, monkeypatch):
-        import featreg.bench as bench
+        import featreg.register as register
 
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic failure, with a comma")
 
-        monkeypatch.setattr(bench, "detect_keypoints", boom)
+        monkeypatch.setattr(register, "detect_keypoints", boom)
         clouds, manifest = easy_dataset
         report = eval_registration(clouds, manifest, weights, self.CFG)
         for row in report.rows:
@@ -527,23 +552,3 @@ class TestEvalRegistration:
         a, b, t = triples[0]
         assert a is clouds[0].cloud and b is clouds[1].cloud
         assert t is manifest.pairs[0].transform
-
-
-class TestThreadParity:
-    def test_results_do_not_depend_on_worker_count(self, easy_dataset, weights, monkeypatch):
-        clouds, manifest = easy_dataset
-        cfg = TestEvalRegistration.CFG
-        monkeypatch.delenv("F3DN_THREADS", raising=False)
-        serial = eval_registration(clouds, manifest, weights, cfg)
-        monkeypatch.setenv("F3DN_THREADS", "4")
-        threaded = eval_registration(clouds, manifest, weights, cfg)
-        assert serial.rows == threaded.rows
-        assert serial.aggregates == threaded.aggregates
-
-    def test_bad_thread_count_falls_back_to_one(self, monkeypatch):
-        from featreg.bench import _worker_count
-
-        monkeypatch.setenv("F3DN_THREADS", "soon")
-        assert _worker_count() == 1
-        monkeypatch.setenv("F3DN_THREADS", "3")
-        assert _worker_count() == 3

@@ -14,7 +14,6 @@ from featreg import (
     describe,
     detect,
     farthest_point_sample,
-    forward_branch,
 )
 from featreg.geom import rotate_z
 from featreg.net import describe_many, detect_many
@@ -154,8 +153,9 @@ class TestDetect:
             cluster = random_cluster(rng)
             theta, _ = detect(cluster, weights)
             assert -np.pi < theta <= np.pi
-            orient, _ = detector_graph(Tensor(cluster.local_points), weights)
-            s, c = orient.data
+            offsets = np.array([0, cluster.valid_count])
+            orient, _ = detector_graph(Tensor(cluster.local_points), weights, offsets)
+            s, c = orient.data[0]
             assert abs(s * s + c * c - 1.0) < 1e-6
 
 
@@ -193,17 +193,17 @@ class TestDescribe:
 class TestForwardBranch:
     def test_single_cluster(self, weights):
         cloud = PointCloud(np.random.default_rng(6).uniform(-1, 1, size=(10, 3)))
-        feats = forward_branch(cloud, weights, k=1, r_cluster=5.0, seed=0)
-        assert len(feats) == 1
-        assert abs(np.linalg.norm(feats[0].descriptor) - 1.0) < 1e-6
+        desc, attn = branch_graph(cloud, weights, k=1, r_cluster=5.0, seed=0)
+        assert desc.data.shape == (1, TINY.descriptor_dim)
+        assert attn.data.shape == (1,) and attn.data[0] > 0
+        assert abs(np.linalg.norm(desc.data[0]) - 1.0) < 1e-6
 
     def test_same_seed_identical(self, weights):
         cloud = PointCloud(np.random.default_rng(7).uniform(-4, 4, size=(80, 3)))
-        a = forward_branch(cloud, weights, k=6, r_cluster=2.0, seed=11)
-        b = forward_branch(cloud, weights, k=6, r_cluster=2.0, seed=11)
-        for fa, fb in zip(a, b):
-            assert np.array_equal(fa.descriptor, fb.descriptor)
-            assert fa.theta == fb.theta and fa.attention == fb.attention
+        desc_a, attn_a = branch_graph(cloud, weights, k=6, r_cluster=2.0, seed=11)
+        desc_b, attn_b = branch_graph(cloud, weights, k=6, r_cluster=2.0, seed=11)
+        assert np.array_equal(desc_a.data, desc_b.data)
+        assert np.array_equal(attn_a.data, attn_b.data)
 
     def test_global_rotation_leaves_descriptors(self, weights):
         """Rotating the whole cloud shifts every theta but not the descriptors,
@@ -246,13 +246,19 @@ class TestBatchedPathsMatchGraphPaths:
             assert np.max(np.abs(descs[i] - want)) < 1e-9
 
     def test_branch_graph_matches_forward_branch(self, weights):
+        """The training graph against the batched inference path, on the
+        clusters branch_graph draws: the seed drives the FPS first pick and
+        then the over-cap subsampling, in that order."""
         cloud = PointCloud(np.random.default_rng(12).uniform(-4, 4, size=(70, 3)))
-        feats = forward_branch(cloud, weights, k=5, r_cluster=2.0, seed=21)
         desc, attn = branch_graph(cloud, weights, k=5, r_cluster=2.0, seed=21)
+        rng = np.random.default_rng(21)
+        idx = farthest_point_sample(cloud, 5, rng)
+        clusters = ball_group(cloud, idx, r_cluster=2.0, cap=64, rng=rng)
+        thetas, attns = detect_many(clusters, weights)
+        descs = describe_many(clusters, thetas, weights)
         assert desc.data.shape == (5, TINY.descriptor_dim)
-        for i, f in enumerate(feats):
-            assert np.max(np.abs(desc.data[i] - f.descriptor)) < 1e-9
-            assert abs(attn.data[i] - f.attention) < 1e-9
+        assert np.max(np.abs(desc.data - descs)) < 1e-9
+        assert np.max(np.abs(attn.data - attns)) < 1e-9
 
 
 class TestModelWeights:
